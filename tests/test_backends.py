@@ -113,6 +113,36 @@ PRE_REFACTOR_HASHES = {
     "vote/blobs": "e00cfbb50a153f499a0406e40d9131cf",
 }
 
+#: Labels of every other Y-step caller on one small blobs set, captured
+#: on the row-by-row coordinate-descent loop before the block-screened
+#: rewrite; the rewrite must reproduce them bit for bit.
+Y_STEP_LABEL_HASHES = {
+    "anchor_labels": "a785568e544c51f7f2aa59d60c10dc99",
+    "sparse_labels": "b334ee48799ac78eb2c234891e00ff08",
+    "anchor_partial_fit_labels": "51a6f4719037d03e546c0b042566fb6f",
+    "awp_labels": "b2b9fcd8b62eb58612cfbe6b0d220cd4",
+}
+
+
+def _y_step_labels(name: str) -> np.ndarray:
+    """Fit the caller pinned under ``name`` and return its labels."""
+    from repro import AnchorMVSC, SparseMVSC, make_multiview_blobs
+    from repro.baselines.awp import AWP
+
+    ds = make_multiview_blobs(
+        240, 4, view_dims=(8, 12), separation=2.5, random_state=0
+    )
+    if name == "anchor_labels":
+        return AnchorMVSC(4, random_state=0).fit_predict(ds.views)
+    if name == "sparse_labels":
+        return SparseMVSC(4, random_state=0).fit_predict(ds.views)
+    if name == "anchor_partial_fit_labels":
+        model = AnchorMVSC(4, random_state=0)
+        model.partial_fit([v[:160] for v in ds.views])
+        return model.partial_fit([v[160:] for v in ds.views])
+    return AWP(4, random_state=0).fit_predict(ds.views)
+
+
 #: Exact median-heuristic bandwidths from the pre-refactor masked-median
 #: code; the mask-free :func:`repro.graph.affinity._median_offdiag` must
 #: reproduce them bit for bit.
@@ -278,6 +308,10 @@ class TestNumpyBitIdentity:
             _digest(np.abs(res.embedding))
             == PRE_REFACTOR_HASHES["umsc_embedding_abs"]
         )
+
+    @pytest.mark.parametrize("name", sorted(Y_STEP_LABEL_HASHES))
+    def test_y_step_caller_labels_bit_identical(self, name):
+        assert _digest(_y_step_labels(name)) == Y_STEP_LABEL_HASHES[name]
 
 
 # --- alternate-backend equivalence ----------------------------------------

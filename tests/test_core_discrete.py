@@ -13,6 +13,45 @@ from repro.core.discrete import (
     scaled_indicator,
 )
 from repro.exceptions import ValidationError
+from repro.observability.trace import Trace, use_trace
+
+
+def _reference_coordinate_descent(m, labels, c, max_sweeps):
+    """The row-by-row Y-step loop, kept as the oracle for the block screen.
+
+    Returns ``(labels, moves, sweeps)``.
+    """
+    n = m.shape[0]
+    labels = np.asarray(labels, dtype=np.int64).copy()
+    counts = np.bincount(labels, minlength=c).astype(np.float64)
+    q = np.zeros(c)
+    np.add.at(q, labels, m[np.arange(n), labels])
+    n_moves = 0
+    n_sweeps = 0
+    for n_sweeps in range(1, max_sweeps + 1):
+        moved = False
+        for i in range(n):
+            a = labels[i]
+            if counts[a] <= 1:
+                continue
+            base_a = q[a] / np.sqrt(counts[a])
+            new_a = (q[a] - m[i, a]) / np.sqrt(counts[a] - 1.0)
+            base_b = q / np.sqrt(counts)
+            new_b = (q + m[i]) / np.sqrt(counts + 1.0)
+            gain = (new_a - base_a) + (new_b - base_b)
+            gain[a] = 0.0
+            b = int(np.argmax(gain))
+            if gain[b] > 1e-12:
+                q[a] -= m[i, a]
+                counts[a] -= 1.0
+                q[b] += m[i, b]
+                counts[b] += 1.0
+                labels[i] = b
+                moved = True
+                n_moves += 1
+        if not moved:
+            break
+    return labels, n_moves, n_sweeps
 
 
 def _clean_embedding(sizes, seed=0):
@@ -90,6 +129,72 @@ class TestCoordinateDescent:
             indicator_coordinate_descent(
                 np.zeros((4, 2)), np.array([0, 1, 2, 0]), 3
             )
+
+    def test_wrong_length_labels_rejected(self):
+        m = np.zeros((5, 2))
+        with pytest.raises(ValidationError, match="length 5"):
+            indicator_coordinate_descent(m, np.array([0, 1, 0, 1]), 2)
+
+    def test_out_of_range_labels_rejected(self):
+        m = np.zeros((4, 2))
+        with pytest.raises(ValidationError, match=r"\[0, 2\)"):
+            indicator_coordinate_descent(m, np.array([0, 1, 2, 1]), 2)
+        with pytest.raises(ValidationError, match=r"\[0, 2\)"):
+            indicator_coordinate_descent(m, np.array([0, 1, -1, 1]), 2)
+
+    def test_non_integral_labels_rejected(self):
+        m = np.zeros((4, 2))
+        with pytest.raises(ValidationError, match="integers"):
+            indicator_coordinate_descent(m, np.array([0.0, 1.0, 0.5, 1.0]), 2)
+
+    def test_integral_float_labels_accepted(self):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(12, 3))
+        labels = np.arange(12) % 3
+        np.testing.assert_array_equal(
+            indicator_coordinate_descent(m, labels.astype(np.float64), 3),
+            indicator_coordinate_descent(m, labels, 3),
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        c=st.integers(2, 8),
+        extra=st.integers(0, 150),
+        max_sweeps=st.sampled_from([1, 4, 20]),
+        scale=st.sampled_from(["normal", "rounded", "coarse", "tiny"]),
+        singletons=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_row_loop_oracle(
+        self, c, extra, max_sweeps, scale, singletons, seed
+    ):
+        # The block screen must replay the row-by-row loop exactly: same
+        # labels and same work counters, on tie-heavy and tiny inputs and
+        # on starts that hold singleton clusters.
+        rng = np.random.default_rng(seed)
+        n = c + extra
+        m = rng.normal(size=(n, c))
+        if scale == "rounded":
+            m = np.round(m, 1)
+        elif scale == "coarse":
+            m = np.round(2.0 * m) / 2.0
+        elif scale == "tiny":
+            m = 1e-3 * m
+        labels = rng.integers(0, c, size=n)
+        labels[:c] = np.arange(c)
+        if singletons and extra:
+            labels[c:] = rng.integers(0, max(1, c // 2), size=extra)
+        want, moves, sweeps = _reference_coordinate_descent(
+            m, labels, c, max_sweeps
+        )
+        with use_trace(Trace("oracle")) as trace:
+            got = indicator_coordinate_descent(
+                m, labels, c, max_sweeps=max_sweeps
+            )
+        np.testing.assert_array_equal(got, want)
+        counters = trace.metrics.counters
+        assert counters["y_step.moves"].value == moves
+        assert counters["y_step.sweeps"].value == sweeps
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(2, 4), st.integers(0, 500))
