@@ -283,19 +283,22 @@ class ArrayBackend:
     # -- sparse eigensolver entry point ------------------------------------
 
     def eigsh_lanczos(
-        self, a, k: int, which: str
+        self, a, k: int, which: str, v0: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``k`` extremal eigenpairs of a symmetric *sparse* matrix via
-        ARPACK Lanczos (:func:`scipy.sparse.linalg.eigsh`).
+        """``k`` extremal eigenpairs of a symmetric sparse matrix or
+        :class:`~scipy.sparse.linalg.LinearOperator` via ARPACK Lanczos
+        (:func:`scipy.sparse.linalg.eigsh`), started from ``v0``.
 
-        Reduced-precision backends run the matvecs in their
-        ``compute_dtype`` (ARPACK's workspace follows the operand dtype)
-        but always hand back float64 pairs like the dense entry points;
-        the reference backend is the historical plain-float64 call.
+        The caller hands in the operand in ``compute_dtype``; ARPACK's
+        workspace follows the operand dtype, so reduced-precision
+        backends run the matvecs in it.  Pairs always come back float64
+        like the dense entry points.
         """
         import scipy.sparse.linalg
 
-        values, vectors = scipy.sparse.linalg.eigsh(a, k=k, which=which)
+        values, vectors = scipy.sparse.linalg.eigsh(
+            a, k=k, which=which, v0=v0
+        )
         return (
             np.asarray(values, dtype=np.float64),
             np.asarray(vectors, dtype=np.float64),

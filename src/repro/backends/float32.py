@@ -46,14 +46,3 @@ class Float32Backend(ArrayBackend):
         "float32 kernels: ~2x memory headroom on n*n paths, "
         "single-precision tolerance (labels ARI 1.0 on seed data)"
     )
-
-    def eigsh_lanczos(self, a, k: int, which: str):
-        """ARPACK Lanczos with float32 matvecs, float64 pairs out."""
-        import scipy.sparse.linalg
-
-        work = a.astype(np.float32) if a.dtype != np.float32 else a
-        values, vectors = scipy.sparse.linalg.eigsh(work, k=k, which=which)
-        return (
-            np.asarray(values, dtype=np.float64),
-            np.asarray(vectors, dtype=np.float64),
-        )

@@ -30,6 +30,7 @@ from repro.backends import (
     get_backend,
     use_backend,
 )
+from repro.cluster.labels import relabel_consecutive
 from repro.exceptions import ValidationError
 from repro.graph.affinity import (
     cosine_affinity,
@@ -42,6 +43,7 @@ from repro.graph.distance import (
 )
 from repro.graph.knn import kneighbors
 from repro.linalg.eigen import eigsh_smallest, sorted_eigh
+from repro.robust import FaultSpec, inject_faults
 from repro.serving.predictor import kernel_vote_scores
 
 
@@ -116,9 +118,14 @@ PRE_REFACTOR_HASHES = {
 #: Labels of every other Y-step caller on one small blobs set, captured
 #: on the row-by-row coordinate-descent loop before the block-screened
 #: rewrite; the rewrite must reproduce them bit for bit.
+#: ``sparse_labels`` is the sparse fit with its eigensolves on the dense
+#: LAPACK path, which a persistent ``eigen.lanczos`` fault forces;
+#: ``sparse_lanczos_labels`` is the same fit on its ARPACK route,
+#: captured when sparse input stopped being densified.
 Y_STEP_LABEL_HASHES = {
     "anchor_labels": "a785568e544c51f7f2aa59d60c10dc99",
     "sparse_labels": "b334ee48799ac78eb2c234891e00ff08",
+    "sparse_lanczos_labels": "d66459487111b64b8c8f87dcee7629c6",
     "anchor_partial_fit_labels": "51a6f4719037d03e546c0b042566fb6f",
     "awp_labels": "b2b9fcd8b62eb58612cfbe6b0d220cd4",
 }
@@ -135,6 +142,9 @@ def _y_step_labels(name: str) -> np.ndarray:
     if name == "anchor_labels":
         return AnchorMVSC(4, random_state=0).fit_predict(ds.views)
     if name == "sparse_labels":
+        with inject_faults(FaultSpec("eigen.lanczos", times=None)):
+            return SparseMVSC(4, random_state=0).fit_predict(ds.views)
+    if name == "sparse_lanczos_labels":
         return SparseMVSC(4, random_state=0).fit_predict(ds.views)
     if name == "anchor_partial_fit_labels":
         model = AnchorMVSC(4, random_state=0)
@@ -312,6 +322,15 @@ class TestNumpyBitIdentity:
     @pytest.mark.parametrize("name", sorted(Y_STEP_LABEL_HASHES))
     def test_y_step_caller_labels_bit_identical(self, name):
         assert _digest(_y_step_labels(name)) == Y_STEP_LABEL_HASHES[name]
+
+    def test_sparse_routes_give_one_partition(self):
+        # The Lanczos and dense eigensolver routes may order the cluster
+        # ids differently, never the rows' grouping.
+        lanczos = _y_step_labels("sparse_lanczos_labels")
+        dense = _y_step_labels("sparse_labels")
+        np.testing.assert_array_equal(
+            relabel_consecutive(lanczos), relabel_consecutive(dense)
+        )
 
 
 # --- alternate-backend equivalence ----------------------------------------

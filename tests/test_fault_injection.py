@@ -443,10 +443,9 @@ class TestAcceptance:
         assert all(e.strategy == "fallback" for e in recoveries)
         assert sorted(set(result.labels.tolist())) == [0, 1, 2]
 
-    def test_arpack_failure_recovers_via_dense(self, monkeypatch):
+    def test_arpack_failure_recovers_via_dense(self):
         """Injected ARPACK failure on the sparse path: the solve completes
         via the dense fallback, bit-identical to calling it directly."""
-        monkeypatch.setattr(eigen_mod, "_DENSE_CUTOFF", 0)
         a = _sym(25, seed=10)
         sp = scipy.sparse.csr_matrix(a)
         expected = eigen_mod._dense_extremal(
