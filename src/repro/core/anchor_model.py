@@ -60,6 +60,7 @@ from repro.exceptions import ValidationError
 from repro.graph.anchor import (
     anchor_affinity_factor,
     anchor_assignment,
+    gram_left_singular,
     select_anchors,
 )
 from repro.graph.distance import pairwise_sq_euclidean
@@ -94,21 +95,6 @@ _SITE_REFIT = register_fault_site(
 
 #: Cheap-fold-in refinement alternations when ``refine_iters`` is omitted.
 DEFAULT_REFINE_ITERS = 2
-
-
-def _top_left_singular(b: np.ndarray, c: int) -> np.ndarray:
-    """Top-``c`` left singular vectors of ``b`` via its small Gram matrix."""
-    gram = b.T @ b
-    values, vectors = np.linalg.eigh(gram)
-    order = np.argsort(values)[::-1][:c]
-    if current_trace() is not None and values.size > c:
-        # Numerical-health probe: the Gram spectral gap behind the
-        # anchor embedding (sigma_c^2 - sigma_{c+1}^2), free here since
-        # eigh already produced the full small spectrum.
-        ranked = np.sort(values)[::-1]
-        metric_set("health.eigengap", float(ranked[c - 1] - ranked[c]))
-    vals = np.maximum(values[order], 1e-300)
-    return (b @ vectors[:, order]) / np.sqrt(vals)[None, :]
 
 
 def _anchor_coverage(views, anchor_sets) -> float:
@@ -233,8 +219,14 @@ class AnchorMVSC(ServableModelMixin):
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
         if n_anchors < 0:
             raise ValidationError(f"n_anchors must be >= 0, got {n_anchors}")
+        if n_anchor_neighbors < 1:
+            raise ValidationError(
+                f"n_anchor_neighbors must be >= 1, got {n_anchor_neighbors}"
+            )
         if max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+        if n_restarts < 1:
+            raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
         if weighting not in ("exponential", "parameter_free", "uniform"):
             raise ValidationError(f"unknown weighting: {weighting!r}")
         self.n_clusters = int(n_clusters)
@@ -357,6 +349,31 @@ class AnchorMVSC(ServableModelMixin):
             n_iter=n_iter,
         )
 
+    def _embedding(
+        self, factors, w: np.ndarray, *, cold: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fused embedding ``F`` under weights ``w``, with its multipliers.
+
+        Only a cold start takes the full Gram spectrum: its ``F`` seeds
+        :func:`rotation_initialize`, whose random restarts depend on the
+        column signs of ``F``.  Every later step is sign-blind, because
+        ``nearest_orthogonal(F^T G)`` is equivariant under ``F -> F P``
+        and the W-step reads ``||B_v^T F||^2``.  So it solves only the
+        top ``c + 1`` pairs; the last one feeds the eigengap probe.
+        """
+        multipliers = weight_exponents(w, mode=self.weighting, gamma=self.gamma)
+        multipliers = multipliers / np.sum(multipliers)
+        stacked = np.hstack(
+            [np.sqrt(mv) * b for mv, b in zip(multipliers, factors)]
+        )
+        f, gap = gram_left_singular(stacked, self.n_clusters, full=cold)
+        if gap is not None and current_trace() is not None:
+            # Numerical-health probe: the Gram spectral gap behind the
+            # anchor embedding (sigma_c^2 - sigma_{c+1}^2), free here since
+            # the solve already produced pair c + 1.
+            metric_set("health.eigengap", gap)
+        return f, multipliers
+
     def _alternate(
         self,
         factors,
@@ -366,9 +383,12 @@ class AnchorMVSC(ServableModelMixin):
         rng,
         *,
         max_iter: int,
+        embedded: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
         """F/Y/w alternations; ``labels=None`` cold-starts via rotation.
 
+        ``embedded`` is the :meth:`_embedding` of ``(factors, w)`` when
+        the caller has already solved it; the first F-step reuses it.
         Returns ``(labels, weights, objective, n_iter)`` where the
         objective is the weighted view disagreement at the last
         iteration.
@@ -379,14 +399,9 @@ class AnchorMVSC(ServableModelMixin):
             block_seconds: dict[str, float] = {}
             tick = time.perf_counter()
             with span("f_step", iteration=n_iter):
-                multipliers = weight_exponents(
-                    w, mode=self.weighting, gamma=self.gamma
-                )
-                multipliers = multipliers / np.sum(multipliers)
-                stacked = np.hstack(
-                    [np.sqrt(mv) * b for mv, b in zip(multipliers, factors)]
-                )
-                f = _top_left_singular(stacked, c)
+                if embedded is None:
+                    embedded = self._embedding(factors, w, cold=labels is None)
+                (f, multipliers), embedded = embedded, None
             block_seconds["f_step"] = time.perf_counter() - tick
             labels_before = labels
             tick = time.perf_counter()
@@ -573,14 +588,8 @@ class AnchorMVSC(ServableModelMixin):
             # rotation on the old rows only (new rows have no labels yet),
             # then extend the labels by nearest cluster and refine.
             w = np.asarray(state["weights"], dtype=np.float64).copy()
-            multipliers = weight_exponents(
-                w, mode=self.weighting, gamma=self.gamma
-            )
-            multipliers = multipliers / np.sum(multipliers)
-            stacked = np.hstack(
-                [np.sqrt(mv) * b for mv, b in zip(multipliers, factors)]
-            )
-            f = _top_left_singular(stacked, c)
+            embedded = self._embedding(factors, w, cold=False)
+            f = embedded[0]
             labels_old = state["labels"]
             n_old = labels_old.shape[0]
             rot = nearest_orthogonal(
@@ -592,7 +601,13 @@ class AnchorMVSC(ServableModelMixin):
             )
             labels = indicator_coordinate_descent(scores, start, c)
         labels, w, objective, n_iter = self._alternate(
-            factors, c, labels, w, None, max_iter=refine_iters
+            factors,
+            c,
+            labels,
+            w,
+            None,
+            max_iter=refine_iters,
+            embedded=embedded,
         )
         return _StreamFit(
             labels=labels,

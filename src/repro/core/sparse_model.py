@@ -99,6 +99,8 @@ class SparseMVSC(ServableModelMixin):
             raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
         if max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+        if n_restarts < 1:
+            raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
         if weighting not in ("exponential", "parameter_free", "uniform"):
             raise ValidationError(f"unknown weighting: {weighting!r}")
         self.n_clusters = int(n_clusters)

@@ -21,6 +21,7 @@ import numpy as np
 from repro.backends import current_backend
 from repro.exceptions import ValidationError
 from repro.graph.distance import pairwise_sq_euclidean
+from repro.linalg.eigen import eigsh_largest
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_matrix
 
@@ -138,11 +139,39 @@ def anchor_spectral_embedding(
         raise ValidationError(
             f"n_components must be in [1, {min(n, m)}], got {n_components}"
         )
-    b = anchor_affinity_factor(z)
-    # Thin SVD via the m x m Gram matrix: cheap when m << n.
+    return gram_left_singular(anchor_affinity_factor(z), n_components)[0]
+
+
+def gram_left_singular(
+    b: np.ndarray, k: int, *, full: bool = True
+) -> tuple[np.ndarray, float | None]:
+    """Top-``k`` left singular vectors of a tall ``b`` via its Gram matrix.
+
+    The thin SVD of an ``(n, p)`` factor with ``p << n``: the top
+    eigenpairs ``(s_i^2, v_i)`` of the ``p x p`` Gram ``B^T B`` give
+    ``u_i = B v_i / s_i`` in ``O(n p^2 + p^3)``.
+
+    ``full=True`` takes the whole Gram spectrum with ``np.linalg.eigh``.
+    ``full=False`` asks :func:`~repro.linalg.eigen.eigsh_largest` for only
+    the top ``k + 1`` pairs: the LAPACK subset driver, in the backend's
+    compute dtype, under the ``eigen.dense`` failure policy.  Both span
+    the same subspace, but their column signs differ, so a caller whose
+    result depends on those signs must keep ``full=True``.
+
+    Returns
+    -------
+    (u, gap)
+        ``u`` of shape ``(n, k)``, columns by descending singular value;
+        ``gap = s_k^2 - s_{k+1}^2``, or ``None`` when ``p <= k``.
+    """
     gram = b.T @ b
-    values, vectors = np.linalg.eigh(gram)
-    order = np.argsort(values)[::-1][:n_components]
-    top_vals = np.maximum(values[order], 1e-300)
-    u = (b @ vectors[:, order]) / np.sqrt(top_vals)[None, :]
-    return u
+    if full:
+        values, vectors = np.linalg.eigh(gram)
+        ranked = values[::-1]
+        order = np.argsort(values)[::-1][:k]
+        top, vectors = values[order], vectors[:, order]
+    else:
+        ranked, vectors = eigsh_largest(gram, min(k + 1, gram.shape[0]))
+        top, vectors = ranked[:k], vectors[:, :k]
+    gap = float(ranked[k - 1] - ranked[k]) if ranked.size > k else None
+    return (b @ vectors) / np.sqrt(np.maximum(top, 1e-300))[None, :], gap

@@ -122,11 +122,15 @@ PRE_REFACTOR_HASHES = {
 #: LAPACK path, which a persistent ``eigen.lanczos`` fault forces;
 #: ``sparse_lanczos_labels`` is the same fit on its ARPACK route,
 #: captured when sparse input stopped being densified.
+#: ``anchor_stream_refit_labels`` (three ``partial_fit`` batches, then
+#: ``partial_refit``) was captured on the full-spectrum anchor F-step,
+#: before warm F-steps moved to the top-``c + 1`` subset solve.
 Y_STEP_LABEL_HASHES = {
     "anchor_labels": "a785568e544c51f7f2aa59d60c10dc99",
     "sparse_labels": "b334ee48799ac78eb2c234891e00ff08",
     "sparse_lanczos_labels": "d66459487111b64b8c8f87dcee7629c6",
     "anchor_partial_fit_labels": "51a6f4719037d03e546c0b042566fb6f",
+    "anchor_stream_refit_labels": "55afcbfac0e4ca5ba96cff2258418411",
     "awp_labels": "b2b9fcd8b62eb58612cfbe6b0d220cd4",
 }
 
@@ -150,6 +154,11 @@ def _y_step_labels(name: str) -> np.ndarray:
         model = AnchorMVSC(4, random_state=0)
         model.partial_fit([v[:160] for v in ds.views])
         return model.partial_fit([v[160:] for v in ds.views])
+    if name == "anchor_stream_refit_labels":
+        model = AnchorMVSC(4, random_state=0)
+        for lo, hi in ((0, 160), (160, 200), (200, 240)):
+            model.partial_fit([v[lo:hi] for v in ds.views])
+        return model.partial_refit()
     return AWP(4, random_state=0).fit_predict(ds.views)
 
 
@@ -411,16 +420,30 @@ class TestBackendEquivalence:
         _assert_close(ref, alt, backend.tolerance, f"vote/{name}")
 
     def test_end_to_end_labels_identical(self, name, small_dataset):
-        from repro import UnifiedMVSC, evaluate_clustering
+        from repro import AnchorMVSC, UnifiedMVSC, evaluate_clustering
 
-        ref = UnifiedMVSC(
-            small_dataset.n_clusters, random_state=0
-        ).fit_predict(small_dataset.views)
-        alt = UnifiedMVSC(
-            small_dataset.n_clusters, random_state=0, backend=name
-        ).fit_predict(small_dataset.views)
-        ari = evaluate_clustering(ref, alt, metrics=("ari",))["ari"]
-        assert ari == 1.0
+        c = small_dataset.n_clusters
+        views = small_dataset.views
+
+        def same(ref, alt):
+            ari = evaluate_clustering(ref, alt, metrics=("ari",))["ari"]
+            assert ari == 1.0
+
+        same(
+            UnifiedMVSC(c, random_state=0).fit_predict(views),
+            UnifiedMVSC(c, random_state=0, backend=name).fit_predict(views),
+        )
+        # The anchor cold fit, then a fold-in whose warm F-steps run the
+        # subset eigensolve in the backend's compute dtype.
+        ref = AnchorMVSC(c, random_state=0)
+        alt = AnchorMVSC(c, random_state=0, backend=name)
+        for model in (ref, alt):
+            model.partial_fit([v[:60] for v in views])
+        same(ref.labels_, alt.labels_)
+        same(
+            ref.partial_fit([v[60:] for v in views]),
+            alt.partial_fit([v[60:] for v in views]),
+        )
 
 
 class TestNumbaBackend:

@@ -5,7 +5,14 @@ import pytest
 
 from repro.core.anchor_model import AnchorMVSC
 from repro.datasets import make_multiview_blobs
+from repro.core.sparse_model import SparseMVSC
 from repro.exceptions import ValidationError
+from repro.graph.anchor import (
+    anchor_affinity_factor,
+    anchor_assignment,
+    gram_left_singular,
+    select_anchors,
+)
 from repro.metrics import clustering_accuracy
 
 
@@ -61,6 +68,17 @@ class TestAnchorMVSC:
         with pytest.raises(ValidationError, match="exceeds"):
             AnchorMVSC(10_000).fit_predict(easy_big.views)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_rejects_nonpositive_anchor_neighbors(self, k):
+        # anchor_assignment would quietly clamp k to 1 at fit time.
+        with pytest.raises(ValidationError, match="n_anchor_neighbors"):
+            AnchorMVSC(2, n_anchor_neighbors=k)
+
+    @pytest.mark.parametrize("cls", [AnchorMVSC, SparseMVSC])
+    def test_rejects_zero_restarts(self, cls):
+        with pytest.raises(ValidationError, match="n_restarts"):
+            cls(2, n_restarts=0)
+
     def test_faster_than_dense_at_scale(self):
         import time
 
@@ -76,3 +94,35 @@ class TestAnchorMVSC:
         UnifiedMVSC(4, random_state=0).fit(ds.views)
         dense_time = time.perf_counter() - start
         assert anchor_time < dense_time
+
+
+class TestWarmEmbedding:
+    """Warm F-steps solve only the top c + 1 Gram pairs."""
+
+    @pytest.fixture(scope="class")
+    def stacked(self, easy_big):
+        rng = np.random.default_rng(0)
+        factors = [
+            anchor_affinity_factor(
+                anchor_assignment(x, select_anchors(x, 40, random_state=rng))
+            )
+            for x in easy_big.views
+        ]
+        return np.hstack([np.sqrt(0.5) * b for b in factors])
+
+    def test_projector_and_eigengap_match_full_spectrum(self, stacked):
+        full, full_gap = gram_left_singular(stacked, 4, full=True)
+        warm, warm_gap = gram_left_singular(stacked, 4, full=False)
+        assert warm.shape == full.shape
+        # Same subspace; the column signs may differ.
+        np.testing.assert_allclose(
+            warm @ warm.T, full @ full.T, rtol=0, atol=1e-10
+        )
+        np.testing.assert_allclose(warm_gap, full_gap, rtol=1e-8, atol=1e-12)
+        assert warm_gap > 0
+
+    def test_no_gap_without_a_next_pair(self, stacked):
+        narrow = stacked[:, :4]
+        for full in (True, False):
+            u, gap = gram_left_singular(narrow, 4, full=full)
+            assert u.shape == (stacked.shape[0], 4) and gap is None

@@ -22,6 +22,8 @@ from repro.datasets.scenarios import (
 )
 from repro.exceptions import ValidationError
 from repro.metrics import adjusted_rand_index
+from repro.observability import Trace, use_trace
+from repro.robust import FaultSpec, collect_recoveries, inject_faults
 from repro.serving import ModelArtifact, Predictor
 from repro.streaming import (
     BatchStats,
@@ -192,6 +194,39 @@ class TestPartialFit:
         # refit() reuses the model's own rng state, so compare structure
         # rather than bits: same partition quality on the union.
         assert adjusted_rand_index(cold.fit_predict(union), full) > 0.4
+
+    def test_one_eigensolve_per_fold_in_iteration(self):
+        _, batches = _drifted_stream(n_batches=2, batch_size=80)
+        model = AnchorMVSC(4, random_state=0)
+        with use_trace(Trace("cold")) as cold:
+            model.partial_fit(batches[0].views)
+        # The cold start's full-spectrum F-step is not an eigsh solve.
+        assert cold.metrics.counter("eigsh.calls").value == model.n_iter_ - 1
+        with use_trace(Trace("fold-in")) as trace:
+            model.partial_fit(batches[1].views)
+        # The first refine iteration reuses the fold-in's embedding.
+        assert model.n_iter_ >= 2
+        assert trace.metrics.counter("eigsh.calls").value == model.n_iter_
+
+    def test_fold_in_recovers_from_a_dense_eigensolve_fault(self):
+        _, batches = _drifted_stream(n_batches=2, batch_size=80)
+
+        def fold_in(faults):
+            model = AnchorMVSC(4, random_state=0)
+            model.partial_fit(batches[0].views)
+            with faults, collect_recoveries() as events:
+                labels = model.partial_fit(batches[1].views)
+            return labels, events
+
+        clean, none = fold_in(inject_faults())
+        faulted, events = fold_in(
+            inject_faults(FaultSpec("eigen.dense", times=1))
+        )
+        assert none == []
+        assert [(e.site, e.strategy) for e in events] == [
+            ("eigen.dense", "retry")
+        ]
+        np.testing.assert_array_equal(faulted, clean)
 
     def test_validation(self):
         model = AnchorMVSC(4, random_state=0)
