@@ -12,8 +12,9 @@ factors ``B_v`` (``W_v = B_v B_v^T``) and weights ``w``,
 ``B(w) = [sqrt(w_1) B_1 | ... | sqrt(w_V) B_V]``
 
 so the fused embedding is the SVD of a concatenated ``(n, V m)`` factor.
-Rotation, discrete assignment, and view weighting reuse the exact same
-machinery as :class:`~repro.core.model.UnifiedMVSC`; the lam-coupling is
+Rotation, discrete assignment, and view weighting run in the F/Y/w engine
+:func:`repro.core.alternation.alternate`, shared with
+:class:`~repro.core.sparse_model.SparseMVSC`; the lam-coupling is
 dropped (the factored eigensolver cannot absorb the linear term cheaply),
 making this the spectral-rotation end of the framework at scale.
 
@@ -39,23 +40,19 @@ attempt never corrupts the running state.
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import current_backend, get_backend, use_backend
-from repro.core.discrete import (
-    indicator_coordinate_descent,
-    rotation_initialize,
-    scaled_indicator,
-)
+from repro.backends import current_backend, get_backend
+from repro.core.alternation import SITE_FIT, alternate, backend_ctx
+from repro.core.config import check_solver_params
+from repro.core.discrete import indicator_coordinate_descent, scaled_indicator
 from repro.core.persistence import (
     DEFAULT_SERVING_NEIGHBORS,
     ServableModelMixin,
 )
-from repro.core.weights import update_view_weights, weight_exponents
+from repro.core.weights import fusion_multipliers
 from repro.exceptions import ValidationError
 from repro.graph.anchor import (
     anchor_affinity_factor,
@@ -65,8 +62,7 @@ from repro.graph.anchor import (
 )
 from repro.graph.distance import pairwise_sq_euclidean
 from repro.linalg.procrustes import nearest_orthogonal
-from repro.observability.events import IterationEvent, dispatch_event
-from repro.observability.health import weight_entropy
+from repro.observability.events import dispatch_event
 from repro.observability.trace import (
     current_trace,
     metric_inc,
@@ -79,11 +75,6 @@ from repro.robust.policy import failure_guard, run_with_policy
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_views
 
-_SITE_FIT = register_fault_site(
-    "model.fit",
-    "whole UnifiedMVSC/AnchorMVSC/SparseMVSC fit body (outer guard)",
-    modes=("raise", "delay"),
-)
 _SITE_PARTIAL = register_fault_site(
     "streaming.partial_fit",
     "AnchorMVSC.partial_fit fold-in (retried, then full-refit fallback)",
@@ -215,20 +206,8 @@ class AnchorMVSC(ServableModelMixin):
         random_state=None,
         callbacks=(),
     ) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
         if n_anchors < 0:
             raise ValidationError(f"n_anchors must be >= 0, got {n_anchors}")
-        if n_anchor_neighbors < 1:
-            raise ValidationError(
-                f"n_anchor_neighbors must be >= 1, got {n_anchor_neighbors}"
-            )
-        if max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-        if n_restarts < 1:
-            raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
-        if weighting not in ("exponential", "parameter_free", "uniform"):
-            raise ValidationError(f"unknown weighting: {weighting!r}")
         self.n_clusters = int(n_clusters)
         self.n_anchors = int(n_anchors)
         self.n_anchor_neighbors = int(n_anchor_neighbors)
@@ -241,6 +220,7 @@ class AnchorMVSC(ServableModelMixin):
         self.random_state = random_state
         self.callbacks = tuple(callbacks)
         self._stream: dict | None = None
+        check_solver_params(self, "n_anchor_neighbors", "n_restarts")
 
     def __repr__(self) -> str:
         return (
@@ -264,19 +244,14 @@ class AnchorMVSC(ServableModelMixin):
             "anchor_seed": int(seed) if isinstance(seed, (int, np.integer)) else None,
         }
 
-    def _backend_ctx(self):
-        return (
-            nullcontext() if self.backend is None else use_backend(self.backend)
-        )
-
     def fit_predict(self, views) -> np.ndarray:
         """Cluster raw multi-view features at anchor-graph cost.
 
         Runs under the unified failure guard: only
         :class:`~repro.exceptions.ReproError` subclasses can escape.
         """
-        with self._backend_ctx(), failure_guard(_SITE_FIT):
-            maybe_inject(_SITE_FIT)
+        with backend_ctx(self.backend), failure_guard(SITE_FIT):
+            maybe_inject(SITE_FIT)
             return self._fit_predict(views)
 
     def _fit_predict(self, views) -> np.ndarray:
@@ -295,6 +270,12 @@ class AnchorMVSC(ServableModelMixin):
         rng = check_random_state(self.random_state)
         m = self.n_anchors or min(n, max(10 * c, 100))
         m = min(m, n)
+        if len(views) * m < c:
+            raise ValidationError(
+                f"n_anchors={m} per view gives {len(views) * m} anchors over "
+                f"{len(views)} views, fewer than n_clusters={c}: the fused "
+                f"anchor graph cannot hold {c} clusters"
+            )
 
         dispatch_event(
             self.callbacks,
@@ -332,7 +313,7 @@ class AnchorMVSC(ServableModelMixin):
         n_views = len(factors)
         w = np.full(n_views, 1.0 / n_views)
         labels, w, objective, n_iter = self._alternate(
-            factors, c, None, w, rng, max_iter=self.max_iter
+            factors, None, w, rng, max_iter=self.max_iter
         )
         dispatch_event(
             self.callbacks,
@@ -350,9 +331,9 @@ class AnchorMVSC(ServableModelMixin):
         )
 
     def _embedding(
-        self, factors, w: np.ndarray, *, cold: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused embedding ``F`` under weights ``w``, with its multipliers.
+        self, factors, multipliers: np.ndarray, *, cold: bool
+    ) -> np.ndarray:
+        """Fused embedding ``F`` of the factors scaled by ``multipliers``.
 
         Only a cold start takes the full Gram spectrum: its ``F`` seeds
         :func:`rotation_initialize`, whose random restarts depend on the
@@ -361,8 +342,6 @@ class AnchorMVSC(ServableModelMixin):
         and the W-step reads ``||B_v^T F||^2``.  So it solves only the
         top ``c + 1`` pairs; the last one feeds the eigengap probe.
         """
-        multipliers = weight_exponents(w, mode=self.weighting, gamma=self.gamma)
-        multipliers = multipliers / np.sum(multipliers)
         stacked = np.hstack(
             [np.sqrt(mv) * b for mv, b in zip(multipliers, factors)]
         )
@@ -372,87 +351,38 @@ class AnchorMVSC(ServableModelMixin):
             # anchor embedding (sigma_c^2 - sigma_{c+1}^2), free here since
             # the solve already produced pair c + 1.
             metric_set("health.eigengap", gap)
-        return f, multipliers
+        return f
 
     def _alternate(
         self,
         factors,
-        c: int,
         labels,
         w: np.ndarray,
         rng,
         *,
         max_iter: int,
-        embedded: tuple[np.ndarray, np.ndarray] | None = None,
+        embedded: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        """F/Y/w alternations; ``labels=None`` cold-starts via rotation.
+        """:func:`~repro.core.alternation.alternate` on the anchor factors.
 
-        ``embedded`` is the :meth:`_embedding` of ``(factors, w)`` when
-        the caller has already solved it; the first F-step reuses it.
-        Returns ``(labels, weights, objective, n_iter)`` where the
-        objective is the weighted view disagreement at the last
-        iteration.
+        A view's cost is the disagreement between the shared embedding
+        and its anchor graph, ``c - ||B_v^T F||^2`` (in ``[0, c]``).
         """
-        objective = 0.0
-        n_iter = 0
-        for n_iter in range(1, max_iter + 1):
-            block_seconds: dict[str, float] = {}
-            tick = time.perf_counter()
-            with span("f_step", iteration=n_iter):
-                if embedded is None:
-                    embedded = self._embedding(factors, w, cold=labels is None)
-                (f, multipliers), embedded = embedded, None
-            block_seconds["f_step"] = time.perf_counter() - tick
-            labels_before = labels
-            tick = time.perf_counter()
-            with span("y_step", iteration=n_iter):
-                if labels is None:
-                    rot, labels = rotation_initialize(
-                        f, c, n_restarts=self.n_restarts, random_state=rng
-                    )
-                else:
-                    rot = nearest_orthogonal(f.T @ scaled_indicator(labels, c))
-                    labels = indicator_coordinate_descent(f @ rot, labels, c)
-            block_seconds["y_step"] = time.perf_counter() - tick
-            label_moves = (
-                None
-                if labels_before is None
-                else int(np.count_nonzero(labels != labels_before))
-            )
-            # Per-view cost: disagreement between the shared embedding and
-            # the view's anchor graph, c - ||B_v^T F||^2 (in [0, c]).
-            tick = time.perf_counter()
-            with span("w_step", iteration=n_iter):
-                h = np.array(
-                    [c - float(np.sum((b.T @ f) ** 2)) for b in factors]
-                )
-                new_w = update_view_weights(
-                    np.maximum(h, 0.0), mode=self.weighting, gamma=self.gamma
-                )
-                if current_trace() is not None:
-                    # Numerical-health probe (see the weight-collapse rule).
-                    metric_set(
-                        "health.weight_entropy", weight_entropy(new_w)
-                    )
-            block_seconds["w_step"] = time.perf_counter() - tick
-            objective = float(np.dot(multipliers, np.maximum(h, 0.0)))
-            weights_converged = np.allclose(new_w, w, atol=1e-10)
-            w = new_w
-            dispatch_event(
-                self.callbacks,
-                "on_iteration",
-                IterationEvent(
-                    solver=type(self).__name__,
-                    iteration=n_iter,
-                    block_seconds=block_seconds,
-                    label_moves=label_moves,
-                    view_weights=tuple(float(x) for x in w),
-                ),
-            )
-            if weights_converged:
-                break
-        assert labels is not None
-        return labels, w, objective, n_iter
+        c = self.n_clusters
+        return alternate(
+            lambda multipliers, cold: self._embedding(
+                factors, multipliers, cold=cold
+            ),
+            lambda f: np.array(
+                [c - float(np.sum((b.T @ f) ** 2)) for b in factors]
+            ),
+            self,
+            labels=labels,
+            w=w,
+            rng=rng,
+            max_iter=max_iter,
+            embedded=embedded,
+        )
 
     # -- streaming ---------------------------------------------------------
 
@@ -539,7 +469,7 @@ class AnchorMVSC(ServableModelMixin):
         iters = DEFAULT_REFINE_ITERS if refine_iters is None else int(refine_iters)
         if iters < 1:
             raise ValidationError(f"refine_iters must be >= 1, got {iters}")
-        with self._backend_ctx(), failure_guard(_SITE_PARTIAL):
+        with backend_ctx(self.backend), failure_guard(_SITE_PARTIAL):
             views_new = self._check_stream_batch(views)
             union = [
                 np.vstack([x_old, x_new])
@@ -588,8 +518,10 @@ class AnchorMVSC(ServableModelMixin):
             # rotation on the old rows only (new rows have no labels yet),
             # then extend the labels by nearest cluster and refine.
             w = np.asarray(state["weights"], dtype=np.float64).copy()
-            embedded = self._embedding(factors, w, cold=False)
-            f = embedded[0]
+            multipliers = fusion_multipliers(
+                w, mode=self.weighting, gamma=self.gamma
+            )
+            f = self._embedding(factors, multipliers, cold=False)
             labels_old = state["labels"]
             n_old = labels_old.shape[0]
             rot = nearest_orthogonal(
@@ -601,13 +533,7 @@ class AnchorMVSC(ServableModelMixin):
             )
             labels = indicator_coordinate_descent(scores, start, c)
         labels, w, objective, n_iter = self._alternate(
-            factors,
-            c,
-            labels,
-            w,
-            None,
-            max_iter=refine_iters,
-            embedded=embedded,
+            factors, labels, w, None, max_iter=refine_iters, embedded=f
         )
         return _StreamFit(
             labels=labels,
@@ -632,7 +558,7 @@ class AnchorMVSC(ServableModelMixin):
         current labels.  Runs under the ``streaming.refit`` fault site.
         """
         state = self._require_stream("partial_refit")
-        with self._backend_ctx(), failure_guard(_SITE_REFIT):
+        with backend_ctx(self.backend), failure_guard(_SITE_REFIT):
             metric_inc("streaming.partial_refit.calls")
             views = state["views"]
             result = run_with_policy(
@@ -644,7 +570,6 @@ class AnchorMVSC(ServableModelMixin):
     def _partial_refit_body(self) -> _StreamFit:
         state = self._stream
         assert state is not None
-        c = self.n_clusters
         backend = current_backend()
         with span(
             "streaming.partial_refit",
@@ -654,12 +579,7 @@ class AnchorMVSC(ServableModelMixin):
             factors = [anchor_affinity_factor(z) for z in state["z"]]
             w = np.asarray(state["weights"], dtype=np.float64).copy()
             labels, w, objective, n_iter = self._alternate(
-                factors,
-                c,
-                state["labels"],
-                w,
-                None,
-                max_iter=self.max_iter,
+                factors, state["labels"], w, None, max_iter=self.max_iter
             )
         return _StreamFit(
             labels=labels,
@@ -680,7 +600,7 @@ class AnchorMVSC(ServableModelMixin):
         refit).  Runs under the ``streaming.refit`` fault site.
         """
         state = self._require_stream("refit")
-        with self._backend_ctx(), failure_guard(_SITE_REFIT):
+        with backend_ctx(self.backend), failure_guard(_SITE_REFIT):
             metric_inc("streaming.refit.calls")
             views = state["views"]
             backend = current_backend()

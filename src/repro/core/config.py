@@ -78,46 +78,49 @@ class UMSCConfig:
     backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        check_solver_params(self, "n_neighbors", "gpi_max_iter")
         if self.lam < 0:
             raise ValidationError(f"lam must be non-negative, got {self.lam}")
         if self.consensus < 0:
             raise ValidationError(
                 f"consensus must be non-negative, got {self.consensus}"
             )
-        if self.weighting not in WEIGHTING_MODES:
-            raise ValidationError(
-                f"weighting must be one of {WEIGHTING_MODES}, got {self.weighting!r}"
-            )
-        if self.weighting == "exponential" and self.gamma <= 1:
-            raise ValidationError(
-                f"gamma must be > 1 for exponential weighting, got {self.gamma}"
-            )
         if self.graph not in GRAPH_KINDS:
             raise ValidationError(
                 f"graph must be one of {GRAPH_KINDS}, got {self.graph!r}"
             )
-        if self.n_neighbors < 1:
-            raise ValidationError(
-                f"n_neighbors must be >= 1, got {self.n_neighbors}"
-            )
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.tol <= 0 or self.gpi_tol <= 0:
             raise ValidationError("tolerances must be positive")
-        if self.gpi_max_iter < 1:
-            raise ValidationError(
-                f"gpi_max_iter must be >= 1, got {self.gpi_max_iter}"
-            )
-        if self.n_jobs is not None and self.n_jobs != -1 and self.n_jobs < 1:
-            raise ValidationError(
-                f"n_jobs must be None, -1, or >= 1, got {self.n_jobs}"
-            )
-        if self.backend is not None:
-            from repro.backends import get_backend
 
-            get_backend(self.backend)  # unknown names raise eagerly
+
+def check_solver_params(params, *counts: str) -> None:
+    """Check the hyperparameters every one-stage solver shares.
+
+    ``params`` is a solver or :class:`UMSCConfig`; ``counts`` names its
+    further integer attributes that must be >= 1.
+    """
+    for name in ("n_clusters", "max_iter", *counts):
+        value = getattr(params, name)
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+    if params.weighting not in WEIGHTING_MODES:
+        raise ValidationError(
+            f"weighting must be one of {WEIGHTING_MODES}, "
+            f"got {params.weighting!r}"
+        )
+    if params.weighting == "exponential" and params.gamma <= 1:
+        raise ValidationError(
+            f"gamma must be > 1 for exponential weighting, got {params.gamma}"
+        )
+    n_jobs = params.n_jobs
+    if n_jobs is not None and n_jobs != -1 and n_jobs < 1:
+        raise ValidationError(
+            f"n_jobs must be None, -1, or >= 1, got {n_jobs}"
+        )
+    if params.backend is not None:
+        from repro.backends import get_backend
+
+        get_backend(params.backend)  # unknown names raise eagerly
 
 
 #: Drift-ladder actions a streaming model can take between batches.

@@ -35,15 +35,13 @@ anywhere*, which is the paper's headline contribution.
 
 from __future__ import annotations
 
-import time
 import warnings
-from contextlib import nullcontext
 from dataclasses import asdict
 
 import numpy as np
 
-from repro.backends import use_backend
 from repro.cluster.labels import indicator_from_labels
+from repro.core.alternation import SITE_FIT, backend_ctx
 from repro.core.config import UMSCConfig
 from repro.core.discrete import (
     indicator_coordinate_descent,
@@ -55,7 +53,7 @@ from repro.core.graph_builder import build_laplacians, build_multiview_affinitie
 from repro.core.objective import spectral_costs, umsc_objective
 from repro.core.persistence import ServableModelMixin
 from repro.core.result import UMSCResult
-from repro.core.weights import update_view_weights, weight_exponents
+from repro.core.weights import fusion_multipliers, update_view_weights
 from repro.exceptions import (
     ConvergenceWarning,
     MonotonicityWarning,
@@ -71,7 +69,12 @@ from repro.observability.events import (
     dispatch_event,
 )
 from repro.observability.health import weight_entropy
-from repro.observability.trace import current_trace, metric_set, span
+from repro.observability.trace import (
+    current_trace,
+    metric_set,
+    span,
+    timed_block,
+)
 from repro.linalg.procrustes import nearest_orthogonal
 from repro.robust.faults import maybe_inject, register_fault_site
 from repro.robust.policy import (
@@ -83,11 +86,6 @@ from repro.robust.policy import (
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_symmetric
 
-_SITE_FIT = register_fault_site(
-    "model.fit",
-    "whole UnifiedMVSC/AnchorMVSC/SparseMVSC fit body (outer guard)",
-    modes=("raise", "delay"),
-)
 _SITE_GPI_SOLVE = register_fault_site(
     "gpi.solve", "full F-step GPI solve (falls back to a plain eigensolve)"
 )
@@ -211,12 +209,6 @@ class UnifiedMVSC(ServableModelMixin):
     def _serving_config(self) -> dict:
         return {**asdict(self.config), "n_restarts": self.n_restarts}
 
-    def _backend_ctx(self):
-        """``use_backend`` for the configured backend, or a no-op ctx."""
-        if self.config.backend is None:
-            return nullcontext()
-        return use_backend(self.config.backend)
-
     def fit(self, views) -> UMSCResult:
         """Cluster raw multi-view features.
 
@@ -229,7 +221,8 @@ class UnifiedMVSC(ServableModelMixin):
             Per-view feature matrices sharing rows.
         """
         cfg = self.config
-        with self._backend_ctx(), collect_recoveries(), failure_guard(_SITE_FIT):
+        with backend_ctx(cfg.backend), collect_recoveries(), \
+                failure_guard(SITE_FIT):
             with span("graph_build", kind=cfg.graph, n_views=len(views)):
                 affinities = build_multiview_affinities(
                     views,
@@ -269,9 +262,9 @@ class UnifiedMVSC(ServableModelMixin):
             numpy/scipy exception never escapes.  Recovery actions taken
             along the way are recorded on ``result.diagnostics.recoveries``.
         """
-        with self._backend_ctx(), collect_recoveries() as recoveries, \
-                failure_guard(_SITE_FIT):
-            maybe_inject(_SITE_FIT)
+        with backend_ctx(self.config.backend), \
+                collect_recoveries() as recoveries, failure_guard(SITE_FIT):
+            maybe_inject(SITE_FIT)
             return self._fit_affinities(affinities, recoveries)
 
     def _fit_affinities(self, affinities, recoveries: list) -> UMSCResult:
@@ -343,8 +336,9 @@ class UnifiedMVSC(ServableModelMixin):
             # F-step: quadratic problem on the Stiefel manifold (GPI).
             # With lam = 0 the subproblem is the plain eigenproblem of the
             # (reweighted) fused operator.
-            tick = time.perf_counter()
-            with span("f_step", iteration=n_iter) as f_span:
+            with timed_block(
+                block_seconds, "f_step", iteration=n_iter
+            ) as f_span:
                 if cfg.lam > 0:
                     f, gpi_iterations = self._solve_f_block(
                         fused_lap, g, r, f
@@ -353,12 +347,9 @@ class UnifiedMVSC(ServableModelMixin):
                         f_span.set(gpi_iterations=gpi_iterations)
                 else:
                     _, f = eigsh_smallest(fused_lap, c)
-            block_seconds["f_step"] = time.perf_counter() - tick
             # R-step: orthogonal Procrustes.
-            tick = time.perf_counter()
-            with span("r_step", iteration=n_iter):
+            with timed_block(block_seconds, "r_step", iteration=n_iter):
                 r = nearest_orthogonal(f.T @ g)
-            block_seconds["r_step"] = time.perf_counter() - tick
             # Y-step: exact coordinate descent on the scaled-indicator gain.
             # Restarted (R, Y)-step: also try fresh rotations on the current
             # embedding and keep the better pair.  Accept-only-if-better, so
@@ -367,14 +358,14 @@ class UnifiedMVSC(ServableModelMixin):
             # it later keeps the per-iteration cost near the plain
             # spectral pipeline's.
             labels_before = labels
-            tick = time.perf_counter()
-            with span("y_step", iteration=n_iter) as y_span:
+            with timed_block(
+                block_seconds, "y_step", iteration=n_iter
+            ) as y_span:
                 labels = indicator_coordinate_descent(f @ r, labels, c)
                 if n_iter <= 2:
                     r, labels = self._best_rotation_pair(f, r, labels, c, rng)
                 label_moves = int(np.count_nonzero(labels != labels_before))
                 y_span.set(label_moves=label_moves)
-            block_seconds["y_step"] = time.perf_counter() - tick
             if current_trace() is not None:
                 # Numerical-health probe: how far the rotated embedding
                 # sits from the discrete indicator it is chasing.
@@ -387,16 +378,13 @@ class UnifiedMVSC(ServableModelMixin):
             # The monotone F/R/Y block descent applies to the objective
             # under the weights the blocks just descended, so that value
             # is recorded before the w-step rebuilds the fused operator.
-            tick = time.perf_counter()
-            with span("objective", iteration=n_iter):
+            with timed_block(block_seconds, "objective", iteration=n_iter):
                 obj_pre = umsc_objective(
                     fused_lap, f, r, scaled_indicator(labels, c), lam=cfg.lam
                 )
-            block_seconds["objective"] = time.perf_counter() - tick
             # w-step: IRLS reweighting from the per-view costs (spectral
             # cost plus consensus disagreement, both non-negative).
-            tick = time.perf_counter()
-            with span("w_step", iteration=n_iter):
+            with timed_block(block_seconds, "w_step", iteration=n_iter):
                 h = spectral_costs(view_laplacians, f)
                 if cfg.consensus > 0:
                     disagreement = np.array(
@@ -410,19 +398,16 @@ class UnifiedMVSC(ServableModelMixin):
                     # weight-collapse rule watches).
                     metric_set("health.weight_entropy", weight_entropy(w))
                 fused_lap = self._fused_operator(affinities, view_bases, w)
-            block_seconds["w_step"] = time.perf_counter() - tick
 
-            tick = time.perf_counter()
-            with span("objective", iteration=n_iter):
+            with timed_block(block_seconds, "objective", iteration=n_iter):
                 obj = umsc_objective(
                     fused_lap, f, r, scaled_indicator(labels, c), lam=cfg.lam
                 )
-            block_seconds["objective"] += time.perf_counter() - tick
             if not (np.isfinite(obj) and np.isfinite(obj_pre)):
                 raise RecoveryExhaustedError(
                     f"objective became non-finite at iteration {n_iter} "
                     f"(pre-reweight {obj_pre!r}, recorded {obj!r})",
-                    site=_SITE_FIT,
+                    site=SITE_FIT,
                     attempts=n_iter,
                     context=matrix_context(fused_lap, "fused_lap"),
                 )
@@ -588,8 +573,7 @@ class UnifiedMVSC(ServableModelMixin):
         eigensolver and GPI handle.
         """
         cfg = self.config
-        multipliers = weight_exponents(w, mode=cfg.weighting, gamma=cfg.gamma)
-        multipliers = multipliers / np.sum(multipliers)
+        multipliers = fusion_multipliers(w, mode=cfg.weighting, gamma=cfg.gamma)
         # Manual weighted sum: the affinities were validated once at entry,
         # and this runs every outer iteration.
         fused = multipliers[0] * affinities[0]

@@ -3,8 +3,8 @@
 :class:`SparseMVSC` keeps the exact k-NN neighborhood structure (unlike
 the anchor variant's low-rank approximation) but stores every graph as
 CSR and solves the embedding with Lanczos, so memory is ``O(nk)`` per view
-instead of ``O(n^2)``.  The one-stage rotation / coordinate-descent /
-auto-weighting machinery is shared with the dense model.
+instead of ``O(n^2)``.  The F/Y/w alternation is
+:func:`repro.core.alternation.alternate`, shared with the anchor variant.
 
 The lam-coupling is dropped (as in :class:`~repro.core.anchor_model.
 AnchorMVSC`): re-solving the coupled Stiefel problem per iteration would
@@ -14,36 +14,22 @@ spectral-rotation end of the framework.
 
 from __future__ import annotations
 
-import time
-from contextlib import nullcontext
-
 import numpy as np
 
-from repro.backends import get_backend, use_backend
-from repro.core.discrete import (
-    indicator_coordinate_descent,
-    rotation_initialize,
-    scaled_indicator,
-)
+from repro.backends import get_backend
+from repro.core.alternation import SITE_FIT, alternate, backend_ctx
+from repro.core.config import check_solver_params
 from repro.core.persistence import ServableModelMixin
-from repro.core.weights import update_view_weights, weight_exponents
 from repro.exceptions import ValidationError
 from repro.graph.sparse import sparse_knn_affinity, sparse_laplacian
 from repro.linalg.eigen import eigsh_smallest
-from repro.linalg.procrustes import nearest_orthogonal
-from repro.observability.events import IterationEvent, dispatch_event
+from repro.observability.events import dispatch_event
 from repro.observability.trace import span
 from repro.pipeline.cache import memoized_parallel
-from repro.robust.faults import maybe_inject, register_fault_site
+from repro.robust.faults import maybe_inject
 from repro.robust.policy import failure_guard
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_views
-
-_SITE_FIT = register_fault_site(
-    "model.fit",
-    "whole UnifiedMVSC/AnchorMVSC/SparseMVSC fit body (outer guard)",
-    modes=("raise", "delay"),
-)
 
 
 class SparseMVSC(ServableModelMixin):
@@ -95,14 +81,6 @@ class SparseMVSC(ServableModelMixin):
         random_state=None,
         callbacks=(),
     ) -> None:
-        if n_clusters < 1:
-            raise ValidationError(f"n_clusters must be >= 1, got {n_clusters}")
-        if max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-        if n_restarts < 1:
-            raise ValidationError(f"n_restarts must be >= 1, got {n_restarts}")
-        if weighting not in ("exponential", "parameter_free", "uniform"):
-            raise ValidationError(f"unknown weighting: {weighting!r}")
         self.n_clusters = int(n_clusters)
         self.n_neighbors = int(n_neighbors)
         self.gamma = float(gamma)
@@ -114,6 +92,7 @@ class SparseMVSC(ServableModelMixin):
         self.backend = None if backend is None else get_backend(backend).name
         self.random_state = random_state
         self.callbacks = tuple(callbacks)
+        check_solver_params(self, "n_neighbors", "n_restarts")
 
     def __repr__(self) -> str:
         return (
@@ -140,11 +119,8 @@ class SparseMVSC(ServableModelMixin):
         Runs under the unified failure guard: only
         :class:`~repro.exceptions.ReproError` subclasses can escape.
         """
-        backend_ctx = (
-            nullcontext() if self.backend is None else use_backend(self.backend)
-        )
-        with backend_ctx, failure_guard(_SITE_FIT):
-            maybe_inject(_SITE_FIT)
+        with backend_ctx(self.backend), failure_guard(SITE_FIT):
+            maybe_inject(SITE_FIT)
             return self._fit_predict(views)
 
     def _fit_predict(self, views) -> np.ndarray:
@@ -189,68 +165,27 @@ class SparseMVSC(ServableModelMixin):
             )
         n_views = len(affinities)
 
-        w = np.full(n_views, 1.0 / n_views)
-        labels = None
-        n_iter = 0
-        for n_iter in range(1, self.max_iter + 1):
-            block_seconds: dict[str, float] = {}
-            tick = time.perf_counter()
-            with span("f_step", iteration=n_iter):
-                multipliers = weight_exponents(
-                    w, mode=self.weighting, gamma=self.gamma
-                )
-                multipliers = multipliers / np.sum(multipliers)
-                fused = multipliers[0] * affinities[0]
-                for m_v, w_mat in zip(multipliers[1:], affinities[1:]):
-                    fused = fused + m_v * w_mat
-                fused_lap = sparse_laplacian(fused.tocsr())
-                _, f = eigsh_smallest(fused_lap, c)
-            block_seconds["f_step"] = time.perf_counter() - tick
-            labels_before = labels
-            tick = time.perf_counter()
-            with span("y_step", iteration=n_iter):
-                if labels is None:
-                    rot, labels = rotation_initialize(
-                        f, c, n_restarts=self.n_restarts, random_state=rng
-                    )
-                else:
-                    rot = nearest_orthogonal(f.T @ scaled_indicator(labels, c))
-                    labels = indicator_coordinate_descent(f @ rot, labels, c)
-            block_seconds["y_step"] = time.perf_counter() - tick
-            label_moves = (
-                None
-                if labels_before is None
-                else int(np.count_nonzero(labels != labels_before))
-            )
-            tick = time.perf_counter()
-            with span("w_step", iteration=n_iter):
-                h = np.array(
-                    [float(np.sum(f * (lap @ f))) for lap in laplacians]
-                )
-                new_w = update_view_weights(
-                    np.maximum(h, 0.0), mode=self.weighting, gamma=self.gamma
-                )
-            block_seconds["w_step"] = time.perf_counter() - tick
-            weights_converged = np.allclose(new_w, w, atol=1e-10)
-            w = new_w
-            dispatch_event(
-                self.callbacks,
-                "on_iteration",
-                IterationEvent(
-                    solver=type(self).__name__,
-                    iteration=n_iter,
-                    block_seconds=block_seconds,
-                    label_moves=label_moves,
-                    view_weights=tuple(float(x) for x in w),
-                ),
-            )
-            if weights_converged:
-                break
+        def embed(multipliers: np.ndarray, cold: bool) -> np.ndarray:
+            fused = multipliers[0] * affinities[0]
+            for m_v, w_mat in zip(multipliers[1:], affinities[1:]):
+                fused = fused + m_v * w_mat
+            return eigsh_smallest(sparse_laplacian(fused.tocsr()), c)[1]
+
+        labels, w, _, n_iter = alternate(
+            embed,
+            lambda f: np.array(
+                [float(np.sum(f * (lap @ f))) for lap in laplacians]
+            ),
+            self,
+            labels=None,
+            w=np.full(n_views, 1.0 / n_views),
+            rng=rng,
+            max_iter=self.max_iter,
+        )
         dispatch_event(
             self.callbacks,
             "on_fit_end",
             {"solver": type(self).__name__, "n_iter": n_iter},
         )
-        assert labels is not None
         self._remember_fit(views, labels, w, c, self.n_neighbors)
         return labels

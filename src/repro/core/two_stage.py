@@ -16,7 +16,7 @@ from repro.cluster.kmeans import KMeans
 from repro.core.config import UMSCConfig
 from repro.core.graph_builder import build_laplacians, build_multiview_affinities
 from repro.core.objective import spectral_costs
-from repro.core.weights import update_view_weights, weight_exponents
+from repro.core.weights import fusion_multipliers, update_view_weights
 from repro.exceptions import ValidationError
 from repro.graph.fusion import fuse_affinities
 from repro.graph.laplacian import laplacian
@@ -118,8 +118,9 @@ class TwoStageMVSC:
         w = np.full(n_views, 1.0 / n_views)
         f = None
         for _ in range(cfg.max_iter):
-            multipliers = weight_exponents(w, mode=cfg.weighting, gamma=cfg.gamma)
-            multipliers = multipliers / np.sum(multipliers)
+            multipliers = fusion_multipliers(
+                w, mode=cfg.weighting, gamma=cfg.gamma
+            )
             fused = fuse_affinities(affinities, multipliers, renormalize=True)
             operator = laplacian(fused)
             for m_v, u in zip(multipliers, view_bases):

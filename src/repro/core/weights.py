@@ -78,3 +78,13 @@ def weight_exponents(w: np.ndarray, *, mode: str, gamma: float = 4.0) -> np.ndar
     if mode in ("parameter_free", "uniform"):
         return w
     raise ValidationError(f"unknown weighting mode: {mode!r}")
+
+
+def fusion_multipliers(w: np.ndarray, *, mode: str, gamma: float) -> np.ndarray:
+    """Normalized multipliers ``m_v`` the fused graph gives each view.
+
+    :func:`weight_exponents` scaled to sum to one, so the fused graph
+    stays on the scale of one view's graph whatever the regime.
+    """
+    multipliers = weight_exponents(w, mode=mode, gamma=gamma)
+    return multipliers / np.sum(multipliers)

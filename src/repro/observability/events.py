@@ -27,8 +27,8 @@ class IterationEvent:
     objective : float or None
         Objective recorded for this iteration (for :class:`~repro.core.
         model.UnifiedMVSC` this is the *post-reweighting* value that
-        enters ``objective_history``); ``None`` for solvers that do not
-        track a scalar objective.
+        enters ``objective_history``; for the scalable solvers it is the
+        weighted view cost ``sum_v m_v h_v``).
     objective_pre_reweight : float or None
         Objective evaluated *before* the w-step rebuilt the fused
         operator — the value the monotone F/R/Y block-descent guarantee

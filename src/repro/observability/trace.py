@@ -47,6 +47,7 @@ import os
 import threading
 import time
 import uuid
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -335,6 +336,20 @@ def span(name: str, **attributes):
     if trace is None:
         return NOOP_SPAN
     return _LiveSpan(trace, name, dict(attributes))
+
+
+@contextmanager
+def timed_block(seconds: dict, name: str, **attributes):
+    """:func:`span` that also adds its wall time to ``seconds[name]``.
+
+    Solvers fill :attr:`~repro.observability.events.IterationEvent.
+    block_seconds` this way, so the event and the trace time the same
+    block.  The clock runs whether or not a trace is active.
+    """
+    tick = time.perf_counter()
+    with span(name, **attributes) as handle:
+        yield handle
+    seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - tick
 
 
 def metric_inc(name: str, amount: float = 1.0) -> None:

@@ -79,6 +79,41 @@ class TestAnchorMVSC:
         with pytest.raises(ValidationError, match="n_restarts"):
             cls(2, n_restarts=0)
 
+    @pytest.mark.parametrize("cls", [AnchorMVSC, SparseMVSC])
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"weighting": "exponential", "gamma": 1.0}, "gamma"),
+         ({"n_jobs": 0}, "n_jobs")],
+    )
+    def test_rejects_shared_params_at_construction(self, cls, kwargs, match):
+        # The same checks UnifiedMVSC runs; these used to surface only
+        # after the whole graph build.
+        with pytest.raises(ValidationError, match=match):
+            cls(2, **kwargs)
+
+    def test_rejects_too_few_anchors_before_selection(
+        self, easy_big, monkeypatch
+    ):
+        import repro.core.anchor_model as anchor_model
+
+        def select_anchors_unreachable(*args, **kwargs):
+            raise AssertionError("anchors selected before the check")
+
+        monkeypatch.setattr(
+            anchor_model, "select_anchors", select_anchors_unreachable
+        )
+        with pytest.raises(ValidationError, match="n_anchors=1"):
+            AnchorMVSC(4, n_anchors=1).fit_predict(easy_big.views)
+
+    def test_anchor_budget_equal_to_clusters(self, easy_big):
+        # 2 views x 2 anchors = 4 clusters: the smallest budget that fits.
+        views = easy_big.views
+        model = AnchorMVSC(4, n_anchors=2, max_iter=3, random_state=0)
+        cold = model.fit_predict([v[:400] for v in views])
+        labels = model.partial_fit([v[400:] for v in views])
+        assert cold.shape == (400,) and labels.shape == (500,)
+        assert set(labels.tolist()) <= set(range(4))
+
     def test_faster_than_dense_at_scale(self):
         import time
 

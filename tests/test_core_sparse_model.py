@@ -52,6 +52,12 @@ class TestSparseMVSC:
         dense_acc = clustering_accuracy(easy.labels, dense.labels)
         assert sparse_acc > dense_acc - 0.1
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_nonpositive_neighbors(self, k):
+        # sparse_knn_affinity would quietly clamp k to 1 at fit time.
+        with pytest.raises(ValidationError, match="n_neighbors"):
+            SparseMVSC(2, n_neighbors=k)
+
     def test_validation(self, easy):
         with pytest.raises(ValidationError):
             SparseMVSC(0)
